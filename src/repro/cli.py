@@ -340,11 +340,6 @@ def cmd_trace(args) -> int:
             print("open in https://ui.perfetto.dev or chrome://tracing")
     _warn_dropped(log.dropped, "--max-events", args.max_events or 0,
                   "the exported stream")
-    kernel = getattr(vf, "last_kernel", None)
-    kernel_trace = kernel.trace if kernel is not None else None
-    if kernel_trace is not None:
-        _warn_dropped(kernel_trace.dropped, "max_trace_events",
-                      kernel_trace.max_events or 0, "the kernel trace")
     return 0
 
 
@@ -550,8 +545,9 @@ def cmd_slo(args) -> int:
                                       title=f"{title} — objectives"))
             for b in engine.breaches:
                 parts.append(f"breach @ {b.time:.9g}s [{b.severity}] "
-                             f"{b.detail} (window {b.window:g}s, budget "
-                             f"{b.budget_remaining:+.2%})")
+                             f"{b.objective}: {b.metric} {b.observed:.4g} "
+                             f"vs {b.threshold:.4g} (window {b.window:g}s, "
+                             f"budget {b.budget_remaining:+.2%})")
         else:
             parts.append(f"{title}: no objectives given (report-only); "
                          f"declare them with --slo, e.g. "

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Union
 
 from ..device import Architecture, DeviceView, Fpga, get_family
 from ..netlist import Netlist
-from ..osim import DEFAULT_MAX_TRACE_EVENTS, Kernel, RoundRobin, RunStats, Scheduler, Task
+from ..osim import Kernel, RoundRobin, RunStats, Scheduler, Task
 from ..sim import Simulator
 from ..telemetry import Auditor, EventBus
 from .baselines import (
@@ -201,12 +201,11 @@ class VirtualFpga:
         audit: Union[None, str, Auditor] = None,
         audit_deadline: Optional[float] = None,
         op_deadline: Optional[float] = None,
-        max_trace_events: Optional[int] = DEFAULT_MAX_TRACE_EVENTS,
         **policy_kw,
     ) -> RunStats:
         """Run ``tasks`` under ``policy`` on a fresh simulated system.
 
-        Returns the :class:`~repro.osim.trace.RunStats`; the service used
+        Returns the :class:`~repro.osim.stats.RunStats`; the service used
         is available afterwards as :attr:`last_service` and the kernel as
         :attr:`last_kernel` for metric inspection.  Pass a telemetry
         ``bus`` (with recorders/exporters already subscribed) to capture
@@ -244,7 +243,6 @@ class VirtualFpga:
             context_switch=context_switch,
             bus=bus,
             telemetry_steps=telemetry_steps,
-            max_trace_events=max_trace_events,
             op_deadline=op_deadline,
         )
         kernel.spawn_all(list(tasks))

@@ -1,15 +1,16 @@
 """Unified telemetry spine: one typed event bus across every layer.
 
 Before this package existed, observability was scattered: the kernel kept
-a :class:`~repro.osim.trace.Trace`, every service hand-filled a
+its own event trace, every service hand-filled a
 :class:`~repro.core.metrics.ServiceMetrics` at each charge site, and
 tasks carried their own accounting — three disconnected views that were
 cross-checked only informally.  Now there is one spine:
 
 * layers **publish** frozen, typed events (:mod:`repro.telemetry.events`)
   into an :class:`EventBus` (:mod:`repro.telemetry.bus`);
-* the legacy trace and the service metrics are **derived subscribers**
-  (:mod:`repro.telemetry.recorders`) — their public APIs are unchanged;
+* the service metrics are a **derived subscriber** and the
+  :class:`EventLog` is the one recorder of the raw stream
+  (:mod:`repro.telemetry.recorders`);
 * exporters (:mod:`repro.telemetry.exporters`) turn a recorded stream
   into JSONL or a Chrome ``trace_event`` file (open in Perfetto) — and
   back (:func:`read_jsonl`), plus Prometheus text and per-span CSV;

@@ -17,15 +17,17 @@ from repro.osim import (
     TaskState,
 )
 from repro.sim import Simulator
+from repro.telemetry import Admit, Dispatch, EventBus, EventLog, TaskDone
 
 
-def make_kernel(scheduler=None, service=None, cs=0.0):
+def make_kernel(scheduler=None, service=None, cs=0.0, bus=None):
     sim = Simulator()
     kernel = Kernel(
         sim,
         RoundRobin(time_slice=1.0) if scheduler is None else scheduler,
         NullFpgaService() if service is None else service,
         context_switch=cs,
+        bus=bus,
     )
     return sim, kernel
 
@@ -173,13 +175,15 @@ class TestLifecycle:
             kernel.run()
 
     def test_trace_records_lifecycle(self):
-        sim, kernel = make_kernel()
+        bus = EventBus()
+        log = EventLog(bus)
+        sim, kernel = make_kernel(bus=bus)
         kernel.spawn(Task("t", [CpuBurst(1.0)]))
         kernel.run()
-        kinds = [e.kind for e in kernel.trace.events]
-        assert kinds[0] == "admit"
-        assert "dispatch" in kinds
-        assert kinds[-1] == "done"
+        types = [type(e) for e in log.events]
+        assert types[0] is Admit
+        assert Dispatch in types
+        assert types[-1] is TaskDone
 
     def test_stats_require_completion(self):
         sim, kernel = make_kernel()

@@ -32,9 +32,11 @@ from repro.core import (
     make_paged_circuit,
     make_segmented_circuit,
 )
-from repro.osim import FpgaOp, Task, uniform_workload
+from repro.osim import FpgaOp, Kernel, RoundRobin, Task, uniform_workload
+from repro.sim import Simulator
 from repro.telemetry import (
     BoardDispatch,
+    EventBus,
     Load,
     PageFault,
     SegmentFault,
@@ -204,15 +206,16 @@ class TestKernelTelemetryOptions:
         run.run([Task("t", [FpgaOp("a3", 100)])])
         assert run.log.count(SimStep) == 0
 
-    def test_kernel_trace_ring(self, registry, logged):
-        run = logged(DynamicLoadingService(registry), max_trace_events=5)
-        run.run(mixed_tasks())
-        trace = run.kernel.trace
-        assert len(trace.events) == 5
-        assert trace.dropped > 0
-        # Parity is unaffected: metrics fold events as they pass, the
-        # ring only bounds what is *retained*.
-        assert_parity(run)
+    def test_kernel_subscribes_nothing_of_its_own(self, registry):
+        """The bus carries the run's one event stream: the kernel keeps
+        no private recorder, so the service's metrics recorder is the
+        only subscriber a bare run pays for."""
+        bus = EventBus()
+        svc = DynamicLoadingService(registry)
+        Kernel(Simulator(), RoundRobin(), svc, bus=bus)
+        assert bus.n_subscribers == 1
+        bus.unsubscribe(svc._metrics_recorder)
+        assert bus.n_subscribers == 0
 
 
 class TestEndToEndExport:

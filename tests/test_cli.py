@@ -1,5 +1,7 @@
 """CLI smoke tests (capsys-based)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_circuit, main
@@ -237,7 +239,14 @@ class TestSlo:
                      "--slo", "tight:p99<=1e-6"]) == 1
         out = capsys.readouterr().out
         assert "BREACHED" in out and "tight" in out
-        assert "breach @" in out
+        breaches = [ln for ln in out.splitlines() if ln.startswith("breach @")]
+        assert len(breaches) == 1
+        num = r"[0-9.e+-]+"
+        assert re.fullmatch(
+            rf"breach @ {num}s \[error\] tight: p99 {num} vs 1e-06 "
+            rf"\(window {num}s, budget [+-][0-9]+\.[0-9]{{2}}%\)",
+            breaches[0],
+        ), breaches[0]
 
     def test_report_only_without_objectives(self, capsys):
         assert main(["slo", *SMALL_RUN]) == 0
