@@ -66,11 +66,11 @@ def build_registry() -> ConfigRegistry:
     return registry
 
 
-def open_loop_tasks(rate: float):
+def open_loop_tasks(rate: float, n_tasks: int = N_TASKS):
     """One single-op task every ``1/rate`` seconds, configs round-robin."""
     return [
         Task(f"t{i}", [FpgaOp(f"f{i % 3}", CYCLES)], arrival=i / rate)
-        for i in range(N_TASKS)
+        for i in range(n_tasks)
     ]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict
 
 from .geometry import Rect
@@ -130,17 +131,21 @@ class Architecture:
         return self.n_clbs * self.GATES_PER_CLB
 
     # -- configuration bit layout ---------------------------------------------
-    @property
+    # Cached per instance: the codec and the device model read these on
+    # every load.  ``cached_property`` writes the instance ``__dict__``
+    # directly, so it works on a frozen dataclass; ``replace`` builds a
+    # fresh instance with an empty cache, and ``eq``/``hash`` see fields only.
+    @cached_property
     def input_sel_bits(self) -> int:
         """Bits for one CLB input-pin selector: 4*cw candidates + 'open'."""
         return math.ceil(math.log2(4 * self.channel_width + 1))
 
-    @property
+    @cached_property
     def iob_sel_bits(self) -> int:
         """Bits for one IOB track selector: cw candidates + 'open'."""
         return math.ceil(math.log2(self.channel_width + 1))
 
-    @property
+    @cached_property
     def clb_config_bits(self) -> int:
         """LUT truth + ff_enable + ff_init + out_registered + input
         selectors + output drive mask."""
@@ -151,44 +156,44 @@ class Architecture:
             + 4 * self.channel_width  # output drive mask, one bit per wire
         )
 
-    @property
+    @cached_property
     def switchbox_config_bits(self) -> int:
         """6 programmable pass switches per track, plus 2 long-line taps
         per long index (H-long↔H-right and V-long↔V-above)."""
         return 6 * self.channel_width + 2 * self.long_per_channel
 
-    @property
+    @cached_property
     def iob_config_bits(self) -> int:
         """enable + direction + track selector."""
         return 2 + self.iob_sel_bits
 
-    @property
+    @cached_property
     def n_frames(self) -> int:
         """Frames 0..width-1 hold CLB columns (plus their switchbox
         column); frame ``width`` holds the last switchbox column and all
         IOB configuration."""
         return self.width + 1
 
-    @property
+    @cached_property
     def clb_column_bits(self) -> int:
         return self.height * self.clb_config_bits
 
-    @property
+    @cached_property
     def switchbox_column_bits(self) -> int:
         return (self.height + 1) * self.switchbox_config_bits
 
-    @property
+    @cached_property
     def iob_total_bits(self) -> int:
         return self.n_pins * self.iob_config_bits
 
-    @property
+    @cached_property
     def frame_bits(self) -> int:
         """All frames share the worst-case length (hardware-style padding)."""
         clb_frame = self.clb_column_bits + self.switchbox_column_bits
         last_frame = self.switchbox_column_bits + self.iob_total_bits
         return max(clb_frame, last_frame)
 
-    @property
+    @cached_property
     def total_config_bits(self) -> int:
         return self.n_frames * self.frame_bits
 

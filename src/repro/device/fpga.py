@@ -59,7 +59,9 @@ class Fpga:
 
         Owned CLB fields and switch-box fields of the region live entirely
         in the region's own column frames; dedicated bitstreams also own
-        their IOB fields in the final frame.
+        their IOB fields in the final frame.  Within a column frame the
+        region's CLB fields are contiguous (``clb_offset(y)`` is linear in
+        ``y``), and so are its switch-box fields, so each is one slice.
         """
         a = self.arch
         mask = np.zeros((a.n_frames, a.frame_bits), dtype=np.uint8)
@@ -69,14 +71,15 @@ class Fpga:
             mask[:] = 1
             return mask
         r = bs.region
-        for x in r.columns():
-            for y in range(r.y, r.y2):
-                off = self.codec.clb_offset(y)
-                mask[x, off : off + a.clb_config_bits] = 1
-                off = self.codec.switch_offset_in_clb_frame(y)
-                mask[x, off : off + a.switchbox_config_bits] = 1
+        codec = self.codec
+        mask[r.x : r.x2, codec.clb_offset(r.y) : codec.clb_offset(r.y2)] = 1
+        mask[
+            r.x : r.x2,
+            codec.switch_offset_in_clb_frame(r.y)
+            : codec.switch_offset_in_clb_frame(r.y2),
+        ] = 1
         for site in bs.iobs:
-            off = self.codec.iob_offset(site)
+            off = codec.iob_offset(site)
             mask[a.width, off : off + a.iob_config_bits] = 1
         return mask
 

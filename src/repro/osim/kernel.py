@@ -114,6 +114,8 @@ class Kernel:
         self.context_switch = context_switch
         self.op_deadline = op_deadline
         self.tasks: List[Task] = []
+        #: Tasks in TaskState.DONE; only _finish sets that state.
+        self._n_done = 0
         #: Span-correlation ids: every FpgaRequest/FpgaComplete pair
         #: shares one kernel-unique op id (see repro.telemetry.spans).
         self._next_op_id = 1
@@ -275,13 +277,14 @@ class Kernel:
 
     def _finish(self, task: Task) -> None:
         task.state = TaskState.DONE
+        self._n_done += 1
         task.accounting.completion = self.sim.now
         self.service.on_task_exit(task)
         self.bus.publish(TaskDone(self.sim.now, task.name, source=self.SOURCE))
         self._kick()
 
     def _all_done(self) -> bool:
-        return all(t.state is TaskState.DONE for t in self.tasks)
+        return self._n_done == len(self.tasks)
 
     # -- service queries -----------------------------------------------------
     def next_fpga_config(self, task: Task) -> Optional[str]:

@@ -11,6 +11,7 @@ Provides the two constructs the simulated OS needs:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
@@ -39,14 +40,16 @@ class Request(Event):
         self.resource = resource
         self.priority = priority
         self.key = (priority, next(resource._ticket))
-        resource._waiting.append(self)
-        resource._waiting.sort(key=lambda r: r.key)
+        heapq.heappush(resource._waiting, (self.key, self))
         resource._grant()
 
     def cancel(self) -> None:
         """Withdraw an ungranted request (granted requests must release)."""
-        if self in self.resource._waiting:
-            self.resource._waiting.remove(self)
+        waiting = self.resource._waiting
+        entry = (self.key, self)
+        if entry in waiting:
+            waiting.remove(entry)
+            heapq.heapify(waiting)
         elif self in self.resource.users:
             raise SimulationError("cancel() on a granted request; use release()")
 
@@ -63,7 +66,9 @@ class Request(Event):
 class Resource:
     """Capacity-limited shared resource with an ordered wait queue.
 
-    Lower ``priority`` values are served first; ties are FIFO.
+    Lower ``priority`` values are served first; ties are FIFO.  The wait
+    queue is a heap of ``(key, request)`` with ``key = (priority, ticket)``
+    unique, so requests are granted in ascending key order.
     """
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
@@ -72,7 +77,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self.users: List[Request] = []
-        self._waiting: List[Request] = []
+        self._waiting: List[Tuple[Tuple[int, int], Request]] = []
         self._ticket = itertools.count()
 
     @property
@@ -99,7 +104,7 @@ class Resource:
 
     def _grant(self) -> None:
         while self._waiting and len(self.users) < self.capacity:
-            req = self._waiting.pop(0)
+            _, req = heapq.heappop(self._waiting)
             self.users.append(req)
             req.succeed(req)
 

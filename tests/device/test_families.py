@@ -1,5 +1,6 @@
 """Unit tests for architecture parameters and the family catalog."""
 
+import dataclasses
 import math
 
 import pytest
@@ -76,3 +77,71 @@ class TestCatalog:
         gates = [f.equivalent_gates for f in FAMILIES.values()]
         assert min(gates) < 1000
         assert max(gates) > 20000
+
+
+# -- cached bit-layout properties --------------------------------------------
+
+def layout_formulas(a):
+    """Closed forms of every cached layout property, from fields only."""
+    isel = math.ceil(math.log2(4 * a.channel_width + 1))
+    iobsel = math.ceil(math.log2(a.channel_width + 1))
+    clb = (1 << a.k) + 3 + a.k * isel + 4 * a.channel_width
+    sb = 6 * a.channel_width + 2 * a.long_per_channel
+    iob = 2 + iobsel
+    n_pins = a.io_per_edge * (2 * a.width + 2 * a.height)
+    clb_col = a.height * clb
+    sb_col = (a.height + 1) * sb
+    frame = max(clb_col + sb_col, sb_col + n_pins * iob)
+    return {
+        "input_sel_bits": isel,
+        "iob_sel_bits": iobsel,
+        "clb_config_bits": clb,
+        "switchbox_config_bits": sb,
+        "iob_config_bits": iob,
+        "n_frames": a.width + 1,
+        "clb_column_bits": clb_col,
+        "switchbox_column_bits": sb_col,
+        "iob_total_bits": n_pins * iob,
+        "frame_bits": frame,
+        "total_config_bits": (a.width + 1) * frame,
+    }
+
+
+def assert_layout(a):
+    for name, want in layout_formulas(a).items():
+        assert getattr(a, name) == want, name
+
+
+class TestCachedLayout:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_catalog_matches_formulas(self, name):
+        a = FAMILIES[name]
+        assert_layout(a)
+        assert_layout(a)  # second read comes from the cache
+
+    @pytest.mark.parametrize("name", ["VF8", "VF12", "VF16"])
+    @pytest.mark.parametrize("changes", [
+        {"channel_width": 4},
+        {"channel_width": 12, "k": 6},
+        {"k": 3},
+        {"height": 5},
+        {"channel_width": 6, "k": 5, "height": 20},
+    ])
+    def test_replaced_arch_recomputes(self, name, changes):
+        base = get_family(name)
+        assert_layout(base)  # warm the base instance's cache first
+        variant = dataclasses.replace(base, **changes)
+        assert_layout(variant)
+        assert layout_formulas(variant) != layout_formulas(base)
+        assert_layout(base)
+
+    @pytest.mark.parametrize("name", ["VF8", "VF16"])
+    def test_reading_keeps_eq_and_hash(self, name):
+        a = dataclasses.replace(get_family(name))  # an empty cache
+        fresh = dataclasses.replace(a)
+        h = hash(a)
+        assert_layout(a)
+        assert a == dataclasses.replace(a)
+        assert a == fresh and fresh == a
+        assert hash(a) == h == hash(fresh)
+        assert {a: 1}[fresh] == 1

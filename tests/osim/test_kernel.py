@@ -193,6 +193,55 @@ class TestLifecycle:
             kernel.stats()
 
 
+class TestCompletion:
+    """The dispatcher stops only once every spawned task is DONE, even
+    when it idles between arrivals while later tasks are still NEW."""
+
+    def test_idle_gaps_between_arrivals(self):
+        svc = DelayService(delay=2.0)
+        sim, kernel = make_kernel(service=svc)
+        tasks = kernel.spawn_all([
+            Task("a", [CpuBurst(1.0)], arrival=0.0),
+            Task("b", [CpuBurst(1.0), FpgaOp("c", 1)], arrival=5.0),
+            Task("c", [FpgaOp("c", 1)], arrival=20.0),
+            Task("d", [CpuBurst(0.5)], arrival=21.0),
+        ])
+        stats = kernel.run()
+        assert all(t.state is TaskState.DONE for t in tasks)
+        assert [t.accounting.completion for t in tasks] == [
+            pytest.approx(1.0), pytest.approx(8.0),
+            pytest.approx(22.0), pytest.approx(21.5),
+        ]
+        assert stats.n_tasks == 4
+        assert stats.makespan == pytest.approx(22.0)
+
+    def test_dispatcher_outlives_first_idle(self):
+        sim, kernel = make_kernel()
+        kernel.spawn(Task("early", [CpuBurst(1.0)], arrival=0.0))
+        late = kernel.spawn(Task("late", [CpuBurst(1.0)], arrival=50.0))
+        sim.run(until=10.0)  # the dispatcher is idle, "late" still NEW
+        assert late.state is TaskState.NEW
+        kernel.run()
+        assert late.state is TaskState.DONE
+        assert late.accounting.completion == pytest.approx(51.0)
+
+    def test_stuck_task_after_idle_gap_deadlocks(self):
+        class StuckOnce(DelayService):
+            def execute(self, task, op):
+                if task.name == "stuck":
+                    yield self.kernel.sim.event()  # never triggers
+                yield from super().execute(task, op)
+
+        sim, kernel = make_kernel(service=StuckOnce(delay=1.0))
+        kernel.spawn_all([
+            Task("ok", [FpgaOp("c", 1)], arrival=0.0),
+            Task("stuck", [FpgaOp("c", 1)], arrival=10.0),
+            Task("after", [CpuBurst(1.0)], arrival=20.0),
+        ])
+        with pytest.raises(DeadlockError, match="stuck"):
+            kernel.run()
+
+
 class TestWorkloads:
     def test_uniform_workload_shapes(self):
         from repro.osim import uniform_workload
