@@ -1,11 +1,13 @@
-"""CAD-kernel microbenchmarks: scalar vs vectorized place/route engines.
+"""CAD-kernel microbenchmarks: numpy place/route kernels vs the python
+references.
 
-The numpy engines (``engine="vector"``) replace the per-terminal python
-loops in the SA placer's move evaluation and the router's per-node cost
-function with array kernels — same RNG stream, same accepted moves, same
-routed trees, bit-identical results.  These microbenchmarks isolate each
-kernel (the full-flow wins are E13d's job) and pin the contract the
-speedup rides on: *identical output first, faster second*.
+The numpy kernels replace the per-terminal python loops in the SA
+placer's move evaluation and the router's per-node cost function with
+array kernels — same RNG stream, same accepted moves, same routed
+trees, bit-identical results.  The python formulations live on as the
+reference kernels in ``tests/cad/oracles.py``.  These microbenchmarks
+isolate each kernel (the full-flow wins are E13d's job) and pin the
+contract the speedup rides on: *identical output first, faster second*.
 
 Mirrors ``test_delta_microbench.py``: simulated-result equality asserted
 exactly, wall-clock compared with generous CI margins, one table per
@@ -30,6 +32,7 @@ from repro.cad import (
 from repro.cad.flow import _virtual_pin_pool, minimal_region
 from repro.device import get_family
 from repro.netlist import moving_sum_fir
+from tests.cad.oracles import ScalarRouter, reference_place
 
 ARCH = get_family("VF16")
 N_ROUNDS = 3  # best-of-N: results are deterministic, only timing jitters
@@ -49,12 +52,11 @@ def test_sa_kernel_scalar_vs_vector(benchmark):
 
     def run_engines():
         out = {}
-        for engine in ("scalar", "vector"):
+        for engine, run in (("scalar", reference_place), ("vector", place)):
             best, coords = None, None
             for _ in range(N_ROUNDS):
                 t0 = time.perf_counter()
-                p = place(design, region, seed=3, effort="sa",
-                          engine=engine)
+                p = run(design, region, seed=3, effort="sa")
                 dt = time.perf_counter() - t0
                 best = dt if best is None else min(best, dt)
                 coords = p.coords
@@ -118,11 +120,10 @@ def test_route_kernel_scalar_vs_vector(benchmark):
 
     def run_engines():
         out = {}
-        for engine in ("scalar", "vector"):
+        for engine, cls in (("scalar", ScalarRouter), ("vector", Router)):
             best, routed = None, None
             for _ in range(N_ROUNDS):
-                router = Router(graph, reserved=dict(reserved),
-                                engine=engine)
+                router = cls(graph, reserved=dict(reserved))
                 t0 = time.perf_counter()
                 routed = router.route(net_list)
                 dt = time.perf_counter() - t0

@@ -11,6 +11,7 @@ usually shortens the critical path; starving the router of iterations
 turns dense circuits unroutable while generous caps change nothing.
 """
 
+import contextlib
 import time
 
 from _harness import emit, record_compile, record_run
@@ -25,6 +26,7 @@ from repro.cad import (
 from repro.device import get_family
 from repro.netlist import alu, comparator, moving_sum_fir, ripple_adder, \
     serial_crc
+from tests.cad.oracles import reference_kernels
 
 ARCH = get_family("VF10")
 SUITE = [
@@ -44,9 +46,11 @@ E13D_CIRCUIT = "fir8x4"
 def e13d_rows():
     """Vectorized-kernel and compile-cache wins (ROADMAP item 3).
 
-    Two arms: (a) scalar vs vector CAD kernels on one placement-bound
-    compile — the engines are pinned bit-identical, so the only delta
-    is wall clock; (b) cold vs warm compile through a
+    Two arms: (a) the python reference kernels (``engine=scalar``, the
+    oracles of ``tests/cad/oracles.py`` patched into the flow) vs the
+    numpy product kernels (``engine=vector``) on one placement-bound
+    compile — they are pinned bit-identical, so the only delta is wall
+    clock; (b) cold vs warm compile through a
     :class:`CompileCache` — the warm run is a flow hit.  Best-of-3
     everywhere: the flow is deterministic, only timing jitters.
     """
@@ -54,13 +58,15 @@ def e13d_rows():
     rows = []
     profiles = {}
     bitstreams = {}
-    for engine in ("scalar", "vector"):
+    arms = (("scalar", reference_kernels),
+            ("vector", contextlib.nullcontext))
+    for engine, kernels in arms:
         best = None
         for _ in range(3):
             instr = CadInstrumentation()
-            res = compile_netlist(moving_sum_fir(8, 4), arch, seed=3,
-                                  effort="sa", engine=engine,
-                                  instrument=instr)
+            with kernels():
+                res = compile_netlist(moving_sum_fir(8, 4), arch, seed=3,
+                                      effort="sa", instrument=instr)
             if best is None or \
                     res.profile.total_seconds < best.total_seconds:
                 best = res.profile
@@ -75,7 +81,7 @@ def e13d_rows():
             "route_ms": round(phase.get("route", 0.0) * 1e3, 2),
             "total_ms": round(best.total_seconds * 1e3, 2),
         })
-    # The engines must be interchangeable before their timings are.
+    # The kernels must be interchangeable before their timings are.
     assert bitstreams["scalar"] == bitstreams["vector"]
     sa_speedup = (profiles["scalar"].phase_seconds["place"]
                   / profiles["vector"].phase_seconds["place"])

@@ -3,10 +3,11 @@
 :class:`~repro.core.rect_alloc.RectAllocator` keeps its boolean occupancy
 grid up to date inside ``allocate``/``release`` instead of rebuilding it
 from the resident list on every fragmentation probe (the seed behavior,
-kept as ``_rebuild_occupancy`` for validation).  On large fabrics with
-many residents the rebuild is O(residents × area) per probe while the
-incremental grid is O(1); this microbenchmark checks the two never
-disagree during heavy churn and quantifies the probe-side win.
+kept as the ``rebuild_occupancy`` oracle in ``tests/core/oracles.py``).
+On large fabrics with many residents the rebuild is O(residents × area)
+per probe while the incremental grid is O(1); this microbenchmark checks
+the two never disagree during heavy churn and quantifies the probe-side
+win.
 """
 
 import time
@@ -16,6 +17,7 @@ from _harness import emit
 
 from repro.analysis import format_table
 from repro.core import RectAllocator
+from tests.core.oracles import rebuild_occupancy
 
 FABRIC = (128, 128)
 N_OPS = 300
@@ -38,7 +40,7 @@ def churn(alloc: RectAllocator, probe) -> int:
             (x, y), rw, rh = live.pop(len(live) // 2)
             alloc.release(x, y, rw, rh)
         grid = probe(alloc)
-        assert np.array_equal(grid, alloc._rebuild_occupancy())
+        assert np.array_equal(grid, rebuild_occupancy(alloc))
         checks += 1
     return checks
 
@@ -46,7 +48,7 @@ def churn(alloc: RectAllocator, probe) -> int:
 def test_occupancy_incremental_matches_rebuild():
     """The incremental grid equals the reference rebuild at every step."""
     alloc = RectAllocator(*FABRIC)
-    checks = churn(alloc, lambda a: a._occupancy())
+    checks = churn(alloc, lambda a: a._grid)
     assert checks == N_OPS
     assert alloc.resident  # the churn actually exercised the ledger
 
@@ -72,8 +74,8 @@ def test_occupancy_microbench(benchmark):
         return probe_s, len(alloc.resident)
 
     def run():
-        inc_s, n_resident = timed(lambda a: a._occupancy())
-        reb_s, _ = timed(lambda a: a._rebuild_occupancy())
+        inc_s, n_resident = timed(lambda a: a._grid)
+        reb_s, _ = timed(rebuild_occupancy)
         return inc_s, reb_s, n_resident
 
     inc_s, reb_s, n_resident = benchmark.pedantic(

@@ -112,7 +112,6 @@ def cmd_compile(args) -> int:
         nl, arch,
         mode="dedicated" if args.dedicated else "relocatable",
         seed=args.seed, effort=args.effort, shape=args.shape,
-        engine=args.engine,
     )
     bs = res.bitstream
     print(f"target: {arch.name}  region {bs.region}  "
@@ -169,7 +168,7 @@ def cmd_compile_report(args) -> int:
                 nl, arch,
                 mode="dedicated" if args.dedicated else "relocatable",
                 seed=args.seed, effort=args.effort, shape=args.shape,
-                instrument=instr, engine=args.engine, cache=cache,
+                instrument=instr, cache=cache,
             )
             if cache is not None:
                 # Cold + warm through one cache in one event stream: the
@@ -179,7 +178,7 @@ def cmd_compile_report(args) -> int:
                     nl, arch,
                     mode="dedicated" if args.dedicated else "relocatable",
                     seed=args.seed, effort=args.effort, shape=args.shape,
-                    instrument=instr, engine=args.engine, cache=cache,
+                    instrument=instr, cache=cache,
                 )
         except (CompileError, PlacementError, RoutingError) as exc:
             # The phases that did run are exactly what one wants to see
@@ -659,10 +658,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--dedicated", action="store_true",
                    help="bind primary I/O to physical pads")
-    c.add_argument("--engine", default="auto",
-                   choices=["auto", "scalar", "vector"],
-                   help="CAD kernel engine (results are bit-identical; "
-                        "auto picks by design size)")
     c.add_argument("--verify", action="store_true",
                    help="functionally verify the bitstream on the device")
 
@@ -681,10 +676,6 @@ def make_parser() -> argparse.ArgumentParser:
     cr.add_argument("--seed", type=int, default=0)
     cr.add_argument("--dedicated", action="store_true",
                     help="bind primary I/O to physical pads")
-    cr.add_argument("--engine", default="auto",
-                    choices=["auto", "scalar", "vector"],
-                    help="CAD kernel engine (results are bit-identical; "
-                         "auto picks by design size)")
     cr.add_argument("--compile-cache", action="store_true",
                     help="compile twice through one fresh CompileCache "
                          "and report the cold-miss/warm-hit cache summary")

@@ -56,6 +56,7 @@ class RectAllocator:
         self.height = height
         self.placement = make_placement(placement)
         self.resident: List[Rect] = []
+        #: Occupancy grid, updated in place by ``_commit``/``release``.
         self._grid = np.zeros((width, height), dtype=bool)
         #: The most recent successful placement decision (telemetry).
         self.last_proposal: Optional[Proposal] = None
@@ -66,21 +67,9 @@ class RectAllocator:
         """Free CLB count."""
         return self.width * self.height - sum(r.area for r in self.resident)
 
-    def _occupancy(self) -> np.ndarray:
-        """The incrementally maintained occupancy grid (do not mutate)."""
-        return self._grid
-
-    def _rebuild_occupancy(self) -> np.ndarray:
-        """Reference implementation: grid from scratch off the resident
-        list.  Kept for validation and the occupancy microbenchmark."""
-        grid = np.zeros((self.width, self.height), dtype=bool)
-        for r in self.resident:
-            grid[r.x:r.x2, r.y:r.y2] = True
-        return grid
-
     def largest_free_rect(self) -> Tuple[int, int]:
         """(w, h) of the largest empty rectangle (0, 0) if full."""
-        grid = self._occupancy()
+        grid = self._grid
         best = 0
         best_wh = (0, 0)
         # Row sweep with histogram-of-heights (largest rectangle in a
@@ -109,10 +98,6 @@ class RectAllocator:
             return 0.0
         w, h = self.largest_free_rect()
         return 1.0 - (w * h) / free
-
-    def can_fit_somewhere(self, w: int, h: int) -> bool:
-        lw, lh = self.largest_free_rect()
-        return lw >= w and lh >= h
 
     # -- allocation ------------------------------------------------------------
     def _fits(self, rect: Rect) -> bool:

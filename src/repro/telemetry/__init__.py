@@ -36,9 +36,6 @@ watchdog:
   state save/restore versions, operation liveness, and a cross-check of
   stream-derived occupancy against the metrics gauge — publishing
   :class:`AuditViolation` events back onto the bus;
-* the :class:`AnomalyDetector` (:mod:`repro.telemetry.anomaly`) adds
-  rolling-window detectors (latency spikes, occupancy leaks,
-  starvation) as warning-severity violations;
 * :mod:`repro.telemetry.benchdiff` diffs two ``BENCH_*.json``
   artifacts and gates CI on wall-clock / event-count regressions;
 * the SLO layer (:mod:`repro.telemetry.slo`) evaluates declarative
@@ -93,7 +90,6 @@ from .events import (
     registered_event_types,
 )
 from .audit import INVARIANTS, AuditError, Auditor, AuditViolation, audit_events
-from .anomaly import AnomalyDetector
 from .benchdiff import BenchDiff, DiffRow, diff_benches, load_bench
 from .exporters import (
     STAGE_FIELDS,
@@ -137,7 +133,6 @@ __all__ = [
     "STAGE_FIELDS",
     "STAGES",
     "Admit",
-    "AnomalyDetector",
     "AuditError",
     "AuditViolation",
     "Auditor",

@@ -77,8 +77,7 @@ from .metrics import MetricsAggregator
 __all__ = ["AuditViolation", "AuditError", "Auditor", "audit_events",
            "INVARIANTS"]
 
-#: Invariant identifiers the auditor can report (anomaly detectors add
-#: their own ``anomaly-*`` family — see :mod:`repro.telemetry.anomaly`).
+#: Invariant identifiers the auditor can report.
 INVARIANTS: Tuple[str, ...] = (
     "double-allocation",
     "evict-without-load",

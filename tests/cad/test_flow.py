@@ -10,7 +10,8 @@ from repro.cad import (
     verify_bitstream,
     virtual_pin_capacity,
 )
-from repro.device import Fpga, Rect, get_family
+from repro.cad.flow import _virtual_pin_pool
+from repro.device import FAMILIES, Fpga, Rect, Wire, get_family
 from repro.netlist import (
     alu,
     comparator,
@@ -141,3 +142,28 @@ def test_timing_report_sane():
     deeper = compile_netlist(ripple_adder(6), get_family("VF10"), seed=1,
                              effort="greedy")
     assert deeper.timing.critical_path > res.timing.critical_path
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_virtual_pin_pool_lists_each_boundary_wire_once(family):
+    """The pool enumerates the region's bottom horizontal and left
+    vertical channel wires, every track, each exactly once — for every
+    region shape and anchor on the device."""
+    arch = FAMILIES[family]
+    cw = arch.channel_width
+    sizes = sorted({1, 2, arch.width // 2, arch.width})
+    for w in sizes:
+        for h in sizes:
+            for x, y in {(0, 0), (arch.width - w, arch.height - h)}:
+                region = Rect(x, y, w, h)
+                pool = _virtual_pin_pool(arch, region)
+                boundary = {
+                    Wire("H", cx, y, t)
+                    for cx in region.columns() for t in range(cw)
+                } | {
+                    Wire("V", x, cy, t)
+                    for cy in range(y, region.y2) for t in range(cw)
+                }
+                assert len(pool) == len(boundary) == \
+                    virtual_pin_capacity(arch, region)
+                assert set(pool) == boundary

@@ -1,22 +1,25 @@
-"""Scalar vs vectorized SA placer parity.
+"""Numpy SA placer vs the per-net python reference annealer.
 
-The vector engine rebuilds the anneal around array state — per-move
-HPWL deltas come from one fancy index plus two ``reduceat`` calls
-instead of per-terminal python sums — but it consumes the *same RNG
-stream* and computes the *same integer deltas*, so it must accept the
-same moves and land every BLE on the same site.  These tests pin that
-contract: same seed → identical coords, identical instrument event
-streams (temperatures, costs, acceptance counts), on generated designs
-too.
+The product annealer keeps its state in arrays — per-move HPWL deltas
+come from one fancy index plus two ``reduceat`` calls instead of
+per-terminal python sums — but it consumes the *same RNG stream* and
+computes the *same integer deltas* as the reference in
+``tests/cad/oracles.py``, so it must accept the same moves and land
+every BLE on the same site.  These tests pin that contract: same seed →
+identical coords, identical instrument event streams (temperatures,
+costs, acceptance counts), on generated designs too.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cad import (
-    VECTOR_MIN_BLES,
+    CadAnnealStep,
     CadInstrumentation,
+    compile_netlist,
     pack,
     place,
     technology_map,
@@ -24,13 +27,16 @@ from repro.cad import (
 from repro.device import get_family
 from repro.netlist import (
     NetlistBuilder,
+    accumulator,
     alu,
     comparator,
     counter,
+    gray_counter,
     moving_sum_fir,
     ripple_adder,
     serial_crc,
 )
+from tests.cad.oracles import reference_kernels, reference_place
 
 ARCH = get_family("VF16")
 
@@ -62,52 +68,54 @@ def region_for(design):
 def test_engines_place_identically(factory, seed):
     design = packed(factory)
     region = region_for(design)
-    s = place(design, region, seed=seed, effort="sa", engine="scalar")
-    v = place(design, region, seed=seed, effort="sa", engine="vector")
+    s = reference_place(design, region, seed=seed, effort="sa")
+    v = place(design, region, seed=seed, effort="sa")
     assert s.coords == v.coords
 
 
-@pytest.mark.parametrize("factory", CIRCUITS[:3])
+@pytest.mark.parametrize("factory", CIRCUITS)
 def test_engines_emit_identical_event_streams(factory):
     """Not just the same answer — the same anneal: every step's
     temperature, running cost and acceptance counts match, so the
-    vector engine is observationally indistinguishable under
-    instrumentation (wall time aside)."""
-    from repro.cad import CadAnnealStep
-
+    numpy annealer is observationally indistinguishable under
+    instrumentation (wall-clock stamps aside)."""
     design = packed(factory)
     region = region_for(design)
-    streams = {}
-    for engine in ("scalar", "vector"):
-        instr = CadInstrumentation()
-        place(design, region, seed=3, effort="sa", engine=engine,
-              instrument=instr)
-        streams[engine] = [
-            (e.step, e.temperature, e.moves, e.accepted, e.cost)
-            for e in instr.events if isinstance(e, CadAnnealStep)
-        ]
-    assert streams["scalar"]  # the anneal actually ran instrumented
-    assert streams["scalar"] == streams["vector"]
+    for seed in (0, 3, 11):
+        streams = []
+        for run in (reference_place, place):
+            instr = CadInstrumentation()
+            run(design, region, seed=seed, effort="sa", instrument=instr)
+            streams.append([
+                replace(e, time=0.0, wall_seconds=0.0) for e in instr.events
+                if isinstance(e, CadAnnealStep)
+            ])
+        assert streams[0]  # the anneal actually ran instrumented
+        assert streams[0] == streams[1]
 
 
-def test_auto_dispatch_threshold():
-    """auto picks the vector engine at VECTOR_MIN_BLES and the scalar
-    one below — and either way the answer is the scalar answer."""
-    small = packed(lambda: ripple_adder(2))
-    assert len(small.bles) < VECTOR_MIN_BLES
-    big = packed(lambda: moving_sum_fir(8, 4))
-    assert len(big.bles) >= VECTOR_MIN_BLES
-    for design in (small, big):
-        region = region_for(design)
-        a = place(design, region, seed=3, effort="sa", engine="auto")
-        s = place(design, region, seed=3, effort="sa", engine="scalar")
-        assert a.coords == s.coords
+#: The compile-suite circuits under 24 BLEs: the reference annealer
+#: used to place them, the numpy one does now.
+SMALL_CIRCUITS = [
+    pytest.param(lambda: accumulator(6), id="accumulator6"),
+    pytest.param(lambda: gray_counter(6), id="gray_counter6"),
+    pytest.param(lambda: serial_crc(8, 7), id="crc8_7"),
+]
 
 
-def test_unknown_engine_rejected():
-    design = packed(lambda: ripple_adder(2))
-    with pytest.raises(ValueError, match="engine"):
-        place(design, region_for(design), engine="simd")
+@pytest.mark.parametrize("factory", SMALL_CIRCUITS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_small_designs_compile_identically(factory, seed):
+    """End to end on small designs: bitstream, wirelength and critical
+    path match the reference kernels."""
+    assert len(packed(factory).bles) < 24
+    with reference_kernels():
+        ref = compile_netlist(factory(), ARCH, seed=seed, effort="sa")
+    res = compile_netlist(factory(), ARCH, seed=seed, effort="sa")
+    assert res.placement.coords == ref.placement.coords
+    assert res.bitstream == ref.bitstream
+    assert res.wirelength == ref.wirelength
+    assert res.critical_path == ref.critical_path
 
 
 @st.composite
@@ -134,8 +142,8 @@ def random_netlists(draw):
 def test_engines_agree_on_random_designs(nl, seed):
     design = pack(technology_map(nl, ARCH.k), ARCH.k)
     region = region_for(design)
-    s = place(design, region, seed=seed, effort="sa", engine="scalar")
-    v = place(design, region, seed=seed, effort="sa", engine="vector")
+    s = reference_place(design, region, seed=seed, effort="sa")
+    v = place(design, region, seed=seed, effort="sa")
     assert s.coords == v.coords
 
 

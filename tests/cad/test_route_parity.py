@@ -1,12 +1,13 @@
-"""Scalar vs vectorized PathFinder parity.
+"""Numpy PathFinder pricing vs the per-node python reference.
 
-The vector engine precomputes one per-iteration cost vector
+The router precomputes one cost vector
 (``base * (1 + history) * (1 + pressure * over)``) per net instead of
-calling ``_node_cost`` per visited node inside Dijkstra.  Within one
-``_route_net`` call only the net's own commits change occupancy, and
-membership subtraction cancels them — so the vector is *exact*, not an
-approximation, and both engines must produce node-for-node identical
-trees, the same overuse trajectory and the same final occupancy.
+calling the reference ``_node_cost`` (``tests/cad/oracles.py``) per
+visited node inside Dijkstra.  Within one ``_route_net`` call only the
+net's own commits change occupancy, and membership subtraction cancels
+them — so the vector is *exact*, not an approximation, and the router
+must produce node-for-node identical trees, the same overuse trajectory
+and the same final occupancy as a router priced by the reference.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.cad import (
 from repro.cad.flow import _virtual_pin_pool, minimal_region
 from repro.device import get_family
 from repro.netlist import alu, comparator, ripple_adder, serial_crc
+from tests.cad.oracles import ScalarRouter, reference_kernels
 
 ARCH = get_family("VF10")
 
@@ -76,8 +78,8 @@ def test_engines_route_identically(factory, seed):
     graph, reserved, net_list = route_inputs(factory, seed=seed)
     routers = {}
     routed = {}
-    for engine in ("scalar", "vector"):
-        r = Router(graph, reserved=dict(reserved), engine=engine)
+    for engine, cls in (("scalar", ScalarRouter), ("vector", Router)):
+        r = cls(graph, reserved=dict(reserved))
         routed[engine] = r.route(net_list)
         routers[engine] = r
     s, v = routed["scalar"], routed["vector"]
@@ -99,38 +101,50 @@ def test_engines_route_identically(factory, seed):
 
 
 def test_cost_vector_matches_node_cost_everywhere():
-    """The per-net cost vector must equal ``_node_cost`` at every node
-    — including infinity on nodes reserved for other nets — in a state
-    with real occupancy, history and pressure."""
-    graph, reserved, net_list = route_inputs(lambda: alu(3))
-    router = Router(graph, reserved=reserved, engine="vector")
-    router.route(net_list)  # leaves occupancy/history populated
-    router._pressure = 0.9
-    some_net = net_list[0].name
-    vec = router._net_cost_vector(some_net)
-    for nid in range(len(graph)):
-        assert vec[nid] == router._node_cost(nid, set(), some_net), nid
+    """At every ``_route_net`` call of a full route, the cost vector
+    equals the reference ``_node_cost`` at every node — infinity on
+    nodes reserved for other nets included — both against the empty
+    tree the call starts from and against the tree it commits, so the
+    vector stays exact for the whole call."""
+    node_cost = ScalarRouter._node_cost
+    for param in CIRCUITS:
+        graph, reserved, net_list = route_inputs(*param.values)
+        router = Router(graph, reserved=reserved)
+        route_net = router._route_net
+        calls = []
+        reserved_priced = 0
 
+        def spy(net):
+            nonlocal reserved_priced
+            vec = router._net_cost_vector(net.name)
+            for nid in range(len(graph)):
+                assert vec[nid] == node_cost(router, nid, (), net.name), nid
+            result = route_net(net)
+            for nid in range(len(graph)):
+                assert vec[nid] == node_cost(router, nid, result.nodes,
+                                             net.name), nid
+            reserved_priced += vec.count(float("inf"))
+            calls.append(net.name)
+            return result
 
-def test_router_rejects_unknown_engine():
-    graph, reserved, _ = route_inputs(lambda: ripple_adder(4))
-    with pytest.raises(ValueError, match="engine"):
-        Router(graph, engine="simd")
+        router._route_net = spy
+        router.route(net_list)
+        # Every net was priced, rip-up rounds included, and the
+        # reservations were in force.
+        assert len(calls) > len(net_list)
+        assert reserved_priced > 0
 
 
 def test_full_flow_bitstreams_engine_independent():
-    """End to end: the engine knob changes nothing observable about a
-    compile — bitstream, wirelength and critical path all match."""
+    """End to end: the reference kernels change nothing observable
+    about a compile — bitstream, wirelength and critical path all
+    match."""
     arch = get_family("VF10")
-    results = {
-        engine: compile_netlist(serial_crc(8, 0x07), arch, seed=3,
-                                effort="sa", engine=engine)
-        for engine in ("scalar", "vector", "auto")
-    }
-    base = results["scalar"]
-    for engine in ("vector", "auto"):
-        res = results[engine]
-        assert res.bitstream == base.bitstream
-        assert res.wirelength == base.wirelength
-        assert res.critical_path == base.critical_path
-        assert res.placement.coords == base.placement.coords
+    with reference_kernels():
+        base = compile_netlist(serial_crc(8, 0x07), arch, seed=3,
+                               effort="sa")
+    res = compile_netlist(serial_crc(8, 0x07), arch, seed=3, effort="sa")
+    assert res.bitstream == base.bitstream
+    assert res.wirelength == base.wirelength
+    assert res.critical_path == base.critical_path
+    assert res.placement.coords == base.placement.coords

@@ -224,11 +224,12 @@ class TestRectAllocatorEngine:
         disjoint and the incremental grid matches the rebuild."""
         import numpy as np
 
+        from tests.core.oracles import rebuild_occupancy
+
         alloc = RectAllocator(BOUNDS_W, BOUNDS_H, placement=name)
         for w, h in ops:
             alloc.allocate(w, h)
         for i, a in enumerate(alloc.resident):
             for b in alloc.resident[i + 1:]:
                 assert not a.overlaps(b)
-        assert np.array_equal(alloc._occupancy(),
-                              alloc._rebuild_occupancy())
+        assert np.array_equal(alloc._grid, rebuild_occupancy(alloc))

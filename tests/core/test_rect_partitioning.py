@@ -69,12 +69,6 @@ class TestRectAllocator:
         with pytest.raises(VfpgaError):
             a.reserve(1, 1, 2, 2)
 
-    def test_can_fit_somewhere(self):
-        a = RectAllocator(6, 6)
-        a.reserve(0, 0, 6, 3)
-        assert a.can_fit_somewhere(6, 3)
-        assert not a.can_fit_somewhere(4, 4)
-
 
 @pytest.fixture
 def rect_registry(arch):
